@@ -8,6 +8,8 @@
 use crate::provider::Provider;
 use cloudy_geo::{city, Continent, CountryCode, GeoPoint};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Index into [`REGIONS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -21,25 +23,27 @@ pub struct CloudRegion {
     pub name: &'static str,
     /// Gazetteer city hosting the region.
     pub city: &'static str,
+    /// The city joined to the gazetteer at compile time (an unknown city
+    /// fails the build), so the accessors below are field reads.
+    location: GeoPoint,
+    country: CountryCode,
+    continent: Continent,
 }
 
 impl CloudRegion {
     /// Location of the hosting city.
     pub fn location(&self) -> GeoPoint {
-        city::by_name(self.city)
-            .unwrap_or_else(|| panic!("region {} references unknown city {}", self.name, self.city)) // audit:allow(panic)
-            .1
-            .location()
+        self.location
     }
 
     /// Country of the hosting city.
     pub fn country(&self) -> CountryCode {
-        city::by_name(self.city).expect("known city").1.country_code() // audit:allow(expect)
+        self.country
     }
 
     /// Continent of the hosting city.
     pub fn continent(&self) -> Continent {
-        city::by_name(self.city).expect("known city").1.continent() // audit:allow(expect)
+        self.continent
     }
 }
 
@@ -57,13 +61,34 @@ pub fn of_provider(p: Provider) -> impl Iterator<Item = (RegionId, &'static Clou
         .map(|(i, r)| (RegionId(i as u16), r))
 }
 
-/// All regions on a continent, with their ids.
-pub fn in_continent(c: Continent) -> impl Iterator<Item = (RegionId, &'static CloudRegion)> {
-    REGIONS
-        .iter()
-        .enumerate()
-        .filter(move |(_, r)| r.continent() == c)
-        .map(|(i, r)| (RegionId(i as u16), r))
+/// Region ids grouped by continent and by country, each group in ascending
+/// id order. Built once: the planner asks for these per probe-day.
+struct Groups {
+    /// Indexed by `Continent as usize` (the variants' declaration order).
+    by_continent: [Vec<RegionId>; Continent::ALL.len()],
+    by_country: HashMap<CountryCode, Vec<RegionId>>,
+}
+
+fn groups() -> &'static Groups {
+    static GROUPS: OnceLock<Groups> = OnceLock::new();
+    GROUPS.get_or_init(|| {
+        let mut g = Groups { by_continent: Default::default(), by_country: HashMap::new() };
+        for (id, r) in all() {
+            g.by_continent[r.continent as usize].push(id);
+            g.by_country.entry(r.country).or_default().push(id);
+        }
+        g
+    })
+}
+
+/// Ids of all regions on a continent, ascending.
+pub fn in_continent(c: Continent) -> &'static [RegionId] {
+    &groups().by_continent[c as usize]
+}
+
+/// Ids of all regions in a country, ascending (empty if it hosts none).
+pub fn in_country(cc: CountryCode) -> &'static [RegionId] {
+    groups().by_country.get(&cc).map_or(&[], Vec::as_slice)
 }
 
 /// Iterate all regions with ids.
@@ -71,15 +96,25 @@ pub fn all() -> impl Iterator<Item = (RegionId, &'static CloudRegion)> {
     REGIONS.iter().enumerate().map(|(i, r)| (RegionId(i as u16), r))
 }
 
+/// A region row with its city joined to the gazetteer; `const`, so this
+/// runs once per row while `REGIONS` compiles.
+const fn region(provider: Provider, name: &'static str, city: &'static str) -> CloudRegion {
+    let c = city::resolve(city);
+    CloudRegion {
+        provider,
+        name,
+        city,
+        location: c.location(),
+        country: c.country_code(),
+        continent: c.continent(),
+    }
+}
+
 macro_rules! regions {
     ($( $prov:ident : $( $name:literal @ $city:literal ),* $(,)? ; )*) => {
         /// The full static region table (195 rows).
         pub static REGIONS: &[CloudRegion] = &[
-            $( $( CloudRegion {
-                provider: Provider::$prov,
-                name: $name,
-                city: $city,
-            }, )* )*
+            $( $( region(Provider::$prov, $name, $city), )* )*
         ];
     };
 }
@@ -272,13 +307,13 @@ mod tests {
     fn of_provider_and_in_continent_consistent() {
         let amzn: Vec<_> = of_provider(Provider::AmazonEc2).collect();
         assert_eq!(amzn.len(), 21);
-        let af: Vec<_> = in_continent(Continent::Africa).collect();
+        let af = in_continent(Continent::Africa);
         assert_eq!(af.len(), 3);
         // All three African DCs are in South Africa (the paper's Fig. 3/6a
         // premise: "the only three datacenter endpoints within the
         // continent", colocated near the south).
-        for (_, r) in &af {
-            assert_eq!(r.country().as_str(), "ZA");
+        for id in af {
+            assert_eq!(by_id(*id).unwrap().country().as_str(), "ZA");
         }
     }
 
@@ -293,8 +328,45 @@ mod tests {
     #[test]
     fn sa_regions_all_in_brazil() {
         // §4.2: "Brazil (where the SA datacenters are)".
-        for (_, r) in in_continent(Continent::SouthAmerica) {
-            assert_eq!(r.country().as_str(), "BR");
+        for id in in_continent(Continent::SouthAmerica) {
+            assert_eq!(by_id(*id).unwrap().country().as_str(), "BR");
         }
+    }
+
+    /// The join the accessors replaced: a linear scan of the gazetteer for
+    /// the city, then of the country table for its continent.
+    fn oracle(r: &CloudRegion) -> (GeoPoint, CountryCode, Continent) {
+        let c = cloudy_geo::city::CITIES.iter().find(|c| c.name == r.city).unwrap();
+        let country = cloudy_geo::country::COUNTRIES.iter().find(|k| k.code == c.country).unwrap();
+        (GeoPoint::new(c.lat, c.lon), CountryCode::new(c.country), country.continent)
+    }
+
+    #[test]
+    fn resolved_fields_agree_with_the_gazetteer_join() {
+        for r in REGIONS {
+            let (loc, cc, cont) = oracle(r);
+            assert_eq!(r.location().lat().to_bits(), loc.lat().to_bits(), "{}", r.name);
+            assert_eq!(r.location().lon().to_bits(), loc.lon().to_bits(), "{}", r.name);
+            assert_eq!(r.country(), cc, "{}", r.name);
+            assert_eq!(r.continent(), cont, "{}", r.name);
+        }
+    }
+
+    #[test]
+    fn groups_equal_the_filters_they_replace() {
+        for c in Continent::ALL {
+            let want: Vec<RegionId> =
+                all().filter(|(_, r)| oracle(r).2 == c).map(|(id, _)| id).collect();
+            assert_eq!(in_continent(c), want.as_slice(), "{c}");
+        }
+        for k in cloudy_geo::country::COUNTRIES {
+            let cc = k.code();
+            let want: Vec<RegionId> =
+                all().filter(|(_, r)| oracle(r).1 == cc).map(|(id, _)| id).collect();
+            assert_eq!(in_country(cc), want.as_slice(), "{cc}");
+        }
+        assert!(in_country(CountryCode::new("ZZ")).is_empty());
+        let hosts: usize = Continent::ALL.iter().map(|c| in_continent(*c).len()).sum();
+        assert_eq!(hosts, REGIONS.len());
     }
 }

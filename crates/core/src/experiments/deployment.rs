@@ -5,7 +5,7 @@ use crate::Study;
 use cloudy_analysis::report::Table;
 use cloudy_cloud::{region, Provider};
 use cloudy_geo::{Continent, CountryCode};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Table 1: per-provider, per-continent datacenter counts + backbone class.
 #[derive(Debug, Clone)]
@@ -118,7 +118,7 @@ fn probe_counts(study: &Study, platform: cloudy_probes::Platform) -> ProbeCounts
     }
     let mut conts: Vec<(Continent, usize)> =
         per_cont.into_iter().map(|(c, s)| (c, s.len())).collect(); // audit:allow(map-iter)
-    conts.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    conts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let mut ccs: Vec<(CountryCode, usize)> =
         per_cc.into_iter().map(|(c, s)| (c, s.len())).collect(); // audit:allow(map-iter)
     ccs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -212,8 +212,10 @@ impl Fig14 {
 
 pub fn fig14(study: &Study) -> Fig14 {
     use cloudy_geo::city;
-    // Per country: distinct (probe, city) placements.
-    let mut per_cc: HashMap<CountryCode, HashMap<cloudy_probes::ProbeId, &str>> = HashMap::new();
+    // Per country: distinct (probe, city) placements, in probe-id order so
+    // the spread sums the same terms in the same order on every run.
+    let mut per_cc: HashMap<CountryCode, BTreeMap<cloudy_probes::ProbeId, &str>> =
+        HashMap::new();
     for p in &study.sc.pings {
         per_cc.entry(p.country).or_default().entry(p.probe).or_insert(p.city.as_str());
     }
@@ -239,7 +241,7 @@ pub fn fig14(study: &Study) -> Fig14 {
         }
         rows.push((cc, probes.len(), if n == 0 { 0.0 } else { sum / n as f64 }));
     }
-    rows.sort_by(|a, b| b.2.total_cmp(&a.2));
+    rows.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
     Fig14 { rows }
 }
 

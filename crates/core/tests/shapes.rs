@@ -416,3 +416,19 @@ fn home_cell_inference_mostly_matches_ground_truth() {
     assert!(acc > 0.85, "inference accuracy {acc}");
     assert!(acc < 0.999, "suspiciously perfect inference: {acc}");
 }
+
+// ---- row order of the grouped figures -----------------------------------
+
+#[test]
+fn grouped_figures_render_the_same_bytes_every_time() {
+    // Figs. 1, 2 and 14 group records in hash maps; their rows must come
+    // out in one order regardless of the maps' per-instance iteration
+    // order, including rows that tie on the sort key (equal probe counts,
+    // zero-spread countries).
+    for id in [ExperimentId::Fig1Deployment, ExperimentId::Fig2Atlas, ExperimentId::Fig14Closeness] {
+        let first = run_one(study(), id);
+        for _ in 0..3 {
+            assert_eq!(run_one(study(), id), first, "{} row order moved", id.slug());
+        }
+    }
+}

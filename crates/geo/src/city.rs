@@ -11,6 +11,8 @@ use crate::continent::Continent;
 use crate::coord::GeoPoint;
 use crate::country::{self, CountryCode};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Index into the global city table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -27,27 +29,42 @@ pub struct City {
     /// (weights within a country need not sum to 1; they are normalised at
     /// sampling time).
     pub weight: f64,
+    /// `country`, `continent` and `lat`/`lon` joined to the country table
+    /// and the coordinate type at compile time, so the accessors below are
+    /// field reads.
+    code: CountryCode,
+    continent: Continent,
+    location: GeoPoint,
 }
 
 impl City {
-    pub fn location(&self) -> GeoPoint {
-        GeoPoint::new(self.lat, self.lon)
+    pub const fn location(&self) -> GeoPoint {
+        self.location
     }
 
-    pub fn country_code(&self) -> CountryCode {
-        CountryCode::new(self.country)
+    pub const fn country_code(&self) -> CountryCode {
+        self.code
     }
 
-    pub fn continent(&self) -> Continent {
-        country::lookup_str(self.country)
-            .map(|c| c.continent)
-            .expect("city references known country") // audit:allow(expect)
+    pub const fn continent(&self) -> Continent {
+        self.continent
     }
 }
 
-/// All cities in `country`, or an empty slice if we only know the centroid.
-pub fn in_country(code: CountryCode) -> Vec<&'static City> {
-    CITIES.iter().filter(|c| c.country == code.as_str()).collect()
+/// All cities in `country`, in table order, or an empty slice if we only
+/// know the centroid.
+pub fn in_country(code: CountryCode) -> &'static [&'static City] {
+    static BY_COUNTRY: OnceLock<HashMap<&'static str, Vec<&'static City>>> = OnceLock::new();
+    BY_COUNTRY
+        .get_or_init(|| {
+            let mut by_country: HashMap<&'static str, Vec<&'static City>> = HashMap::new();
+            for c in CITIES {
+                by_country.entry(c.country).or_default().push(c);
+            }
+            by_country
+        })
+        .get(code.as_str())
+        .map_or(&[], Vec::as_slice)
 }
 
 /// Look up a city by id.
@@ -55,20 +72,62 @@ pub fn by_id(id: CityId) -> Option<&'static City> {
     CITIES.get(id.0 as usize)
 }
 
-/// Find a city by name (exact match).
+/// Find a city by name (exact match; the first row wins for a repeated
+/// name).
 pub fn by_name(name: &str) -> Option<(CityId, &'static City)> {
-    CITIES
-        .iter()
-        .enumerate()
-        .find(|(_, c)| c.name == name)
-        .map(|(i, c)| (CityId(i as u32), c))
+    static BY_NAME: OnceLock<HashMap<&'static str, CityId>> = OnceLock::new();
+    let id = *BY_NAME
+        .get_or_init(|| {
+            let mut by_name = HashMap::with_capacity(CITIES.len());
+            for (i, c) in CITIES.iter().enumerate() {
+                by_name.entry(c.name).or_insert(CityId(i as u32));
+            }
+            by_name
+        })
+        .get(name)?;
+    Some((id, &CITIES[id.0 as usize]))
+}
+
+/// The city called `name`, found in a `const` context: static tables that
+/// name their host city (the cloud regions) join the gazetteer through
+/// this once, at compile time, and an unknown name fails the build. A
+/// linear scan with the same first-match rule as [`by_name`].
+pub const fn resolve(name: &str) -> &'static City {
+    let mut i = 0;
+    while i < CITIES.len() && !str_eq(CITIES[i].name, name) {
+        i += 1;
+    }
+    assert!(i < CITIES.len(), "city missing from the gazetteer");
+    &CITIES[i]
+}
+
+const fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// A table row with its country and location resolved; `const`, so this
+/// runs once per row while `CITIES` compiles.
+const fn city(name: &'static str, country: &'static str, lat: f64, lon: f64, weight: f64) -> City {
+    let (code, continent) = country::resolve(country);
+    City { name, country, lat, lon, weight, code, continent, location: GeoPoint::new(lat, lon) }
 }
 
 macro_rules! cities {
     ($( $name:literal, $cc:literal, $lat:literal, $lon:literal, $w:literal; )*) => {
         /// The global static city table.
         pub static CITIES: &[City] = &[
-            $( City { name: $name, country: $cc, lat: $lat, lon: $lon, weight: $w }, )*
+            $( city($name, $cc, $lat, $lon, $w), )*
         ];
     };
 }
@@ -335,6 +394,53 @@ mod tests {
         let de = in_country(CountryCode::new("DE"));
         assert_eq!(de.len(), 4);
         assert!(de.iter().any(|c| c.name == "Frankfurt"));
+    }
+
+    /// The linear scan `by_name` replaced: first row with the name.
+    fn by_name_oracle(name: &str) -> Option<(CityId, &'static City)> {
+        CITIES
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.name == name)
+            .map(|(i, c)| (CityId(i as u32), c))
+    }
+
+    #[test]
+    fn by_name_agrees_with_linear_scan() {
+        for c in CITIES {
+            let (id, city) = by_name(c.name).unwrap();
+            let (want_id, want) = by_name_oracle(c.name).unwrap();
+            assert_eq!(id, want_id, "{}", c.name);
+            assert!(std::ptr::eq(city, want), "{}", c.name);
+            assert!(std::ptr::eq(resolve(c.name), want), "{}", c.name);
+        }
+        for miss in ["Atlantis", "", "frankfurt", "Frankfurt ", "Sao Paulo\0"] {
+            assert!(by_name(miss).is_none() && by_name_oracle(miss).is_none(), "{miss:?}");
+        }
+    }
+
+    #[test]
+    fn in_country_equals_filter_in_table_order() {
+        for k in crate::country::COUNTRIES {
+            let code = k.code();
+            let want: Vec<&City> = CITIES.iter().filter(|c| c.country == code.as_str()).collect();
+            let got = in_country(code);
+            assert_eq!(got.len(), want.len(), "{code}");
+            assert!(got.iter().zip(&want).all(|(a, b)| std::ptr::eq(*a, *b)), "{code}");
+        }
+        assert!(in_country(CountryCode::new("ZZ")).is_empty());
+    }
+
+    #[test]
+    fn resolved_fields_agree_with_the_tables() {
+        for c in CITIES {
+            assert_eq!(c.country_code(), CountryCode::new(c.country), "{}", c.name);
+            let want = crate::country::lookup_str(c.country).unwrap().continent;
+            assert_eq!(c.continent(), want, "{}", c.name);
+            let loc = GeoPoint::new(c.lat, c.lon);
+            assert_eq!(c.location().lat().to_bits(), loc.lat().to_bits(), "{}", c.name);
+            assert_eq!(c.location().lon().to_bits(), loc.lon().to_bits(), "{}", c.name);
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ pub struct GeoPoint {
 
 impl GeoPoint {
     /// Create a point, clamping latitude and wrapping longitude into range.
-    pub fn new(lat: f64, lon: f64) -> Self {
+    /// `const`, so static tables can hold resolved locations.
+    pub const fn new(lat: f64, lon: f64) -> Self {
         let lat = lat.clamp(-90.0, 90.0);
         let mut lon = (lon + 180.0) % 360.0;
         if lon <= 0.0 {

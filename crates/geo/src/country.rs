@@ -74,7 +74,7 @@ impl Country {
 
 /// Look up a country by ISO code. Returns `None` for unknown codes.
 pub fn lookup(code: CountryCode) -> Option<&'static Country> {
-    COUNTRIES.iter().find(|c| c.code == code.as_str())
+    COUNTRIES.get(row_of(&code.0))
 }
 
 /// Look up by a string code ("de", "DE", ...).
@@ -85,6 +85,53 @@ pub fn lookup_str(code: &str) -> Option<&'static Country> {
 /// All countries on a continent.
 pub fn in_continent(continent: Continent) -> impl Iterator<Item = &'static Country> {
     COUNTRIES.iter().filter(move |c| c.continent == continent)
+}
+
+/// Marks an empty slot of [`ROWS`].
+const NO_ROW: u16 = u16::MAX;
+
+/// Slot of a code in [`ROWS`]: one per pair of upper-case letters. Table
+/// codes in any other shape get none, so they never match a lookup, as
+/// they never equalled an (always upper-case) [`CountryCode`].
+const fn slot(code: &[u8]) -> Option<usize> {
+    match *code {
+        [a @ b'A'..=b'Z', b @ b'A'..=b'Z'] => Some((a - b'A') as usize * 26 + (b - b'A') as usize),
+        _ => None,
+    }
+}
+
+/// Row of [`COUNTRIES`] per code slot, built at compile time. Filled from
+/// the last row up, so a code listed twice resolves to its first row.
+static ROWS: [u16; 26 * 26] = {
+    assert!(COUNTRIES.len() < NO_ROW as usize, "country table outgrew its row index");
+    let mut rows = [NO_ROW; 26 * 26];
+    let mut i = COUNTRIES.len();
+    while i > 0 {
+        i -= 1;
+        if let Some(s) = slot(COUNTRIES[i].code.as_bytes()) {
+            rows[s] = i as u16;
+        }
+    }
+    rows
+};
+
+/// Row of [`COUNTRIES`] whose code is `code`, or `COUNTRIES.len()` if none.
+const fn row_of(code: &[u8]) -> usize {
+    match slot(code) {
+        Some(s) if ROWS[s] != NO_ROW => ROWS[s] as usize,
+        _ => COUNTRIES.len(),
+    }
+}
+
+/// Resolve a static table's country code at compile time: the city table
+/// joins through this, so a city naming a country the table lacks fails
+/// the build.
+pub(crate) const fn resolve(code: &str) -> (CountryCode, Continent) {
+    let row = row_of(code.as_bytes());
+    assert!(row < COUNTRIES.len(), "code missing from the country table");
+    // `row_of` only finds codes of two upper-case letters.
+    let b = code.as_bytes();
+    (CountryCode([b[0], b[1]]), COUNTRIES[row].continent)
 }
 
 macro_rules! countries {
@@ -304,6 +351,47 @@ mod tests {
             "TH", "PK", "AF", "IE",
         ] {
             assert!(lookup_str(code).is_some(), "missing {code}");
+        }
+    }
+
+    /// The linear scan `lookup` replaced: first row with the code.
+    fn lookup_oracle(code: &str) -> Option<&'static Country> {
+        let code = CountryCode::try_new(code)?;
+        COUNTRIES.iter().find(|c| c.code == code.as_str())
+    }
+
+    fn same(a: Option<&Country>, b: Option<&Country>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => std::ptr::eq(a, b),
+            (None, None) => true,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn lookup_agrees_with_linear_scan() {
+        for c in COUNTRIES {
+            let lower = c.code.to_ascii_lowercase();
+            let mixed = format!("{}{}", &lower[..1], &c.code[1..]);
+            for code in [c.code, lower.as_str(), mixed.as_str()] {
+                let want = lookup_oracle(code);
+                assert!(want.is_some(), "{code}");
+                assert!(same(lookup_str(code), want), "lookup_str({code})");
+                assert!(same(lookup(CountryCode::new(code)), want), "lookup({code})");
+            }
+        }
+        for miss in ["ZZ", "zz", "DEU", "D", "", "12", "D3", "É"] {
+            assert!(lookup_oracle(miss).is_none(), "{miss}");
+            assert!(lookup_str(miss).is_none(), "{miss}");
+        }
+        // Every letter pair, present or not.
+        for a in b'A'..=b'Z' {
+            for b in b'A'..=b'Z' {
+                let code = String::from_utf8(vec![a, b]).unwrap();
+                let want = lookup_oracle(&code);
+                assert!(same(lookup_str(&code), want), "lookup_str({code})");
+                assert!(same(lookup(CountryCode::new(&code)), want), "lookup({code})");
+            }
         }
     }
 

@@ -11,11 +11,12 @@
 //! Bolivia/Peru reaching NA as fast as Brazil) are emergent properties of
 //! exactly this model.
 
-use crate::cable::{self, LandingId, CABLES, LANDING_POINTS};
+use crate::cable::{CABLES, LANDING_POINTS};
 use crate::continent::Continent;
 use crate::coord::GeoPoint;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Terrestrial fiber path-stretch per continent: how much longer the real
 /// fiber route is than the great circle.
@@ -104,15 +105,6 @@ pub fn routed_distance_km(
     shortest_cable_route(src, src_continent, dst, dst_continent)
 }
 
-/// Node in the Dijkstra graph: virtual source, virtual destination, or a
-/// landing point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Node {
-    Source,
-    Dest,
-    Landing(LandingId),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct QueueEntry {
     cost: f64,
@@ -132,90 +124,129 @@ impl PartialOrd for QueueEntry {
     }
 }
 
+/// Graph node indices: the virtual source and destination, then landing
+/// point `k` at `LANDING + k`.
+const SOURCE: usize = 0;
+const DEST: usize = 1;
+const LANDING: usize = 2;
+
+/// One directed edge: neighbour node, effective cost, and the leg it adds.
+type Edge = (usize, f64, RouteLeg);
+
+/// The part of the graph that does not depend on the endpoints: for each
+/// landing point, its terrestrial edges to the other landing points (in
+/// landing order) and then its cables (in [`CABLES`] order). Built once.
+fn landing_edges() -> &'static [Vec<Edge>] {
+    static EDGES: OnceLock<Vec<Vec<Edge>>> = OnceLock::new();
+    EDGES.get_or_init(|| {
+        let n = LANDING_POINTS.len();
+        let mut adj: Vec<Vec<Edge>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (a, b) = (&LANDING_POINTS[i], &LANDING_POINTS[j]);
+                // Terrestrial edge on the cheapest shared continent.
+                let best = Continent::ALL
+                    .iter()
+                    .filter(|&&c| a.serves(c) && b.serves(c))
+                    .map(|&c| (terrestrial_stretch(c), c))
+                    .min_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(Ordering::Equal));
+                if let Some((_, cont)) = best {
+                    let km = a.location().haversine_km(&b.location());
+                    let leg = RouteLeg::Terrestrial { km, continent: cont };
+                    let cost = leg.effective_km();
+                    adj[i].push((LANDING + j, cost, leg.clone()));
+                    adj[j].push((LANDING + i, cost, leg));
+                }
+            }
+        }
+        for c in CABLES {
+            let (i, j) = (c.a.0 as usize, c.b.0 as usize);
+            let leg = RouteLeg::Cable { name: c.name, km: c.length_km };
+            let cost = leg.effective_km();
+            adj[i].push((LANDING + j, cost, leg.clone()));
+            adj[j].push((LANDING + i, cost, leg));
+        }
+        adj
+    })
+}
+
+/// An endpoint's terrestrial edges, indexed by landing point: `(cost, leg)`
+/// to each landing point serving `continent`, `None` for the rest. The
+/// great circle runs from the endpoint to the landing point.
+fn access_edges(p: GeoPoint, continent: Continent) -> Vec<Option<(f64, RouteLeg)>> {
+    LANDING_POINTS
+        .iter()
+        .map(|lp| {
+            lp.serves(continent).then(|| {
+                let leg = RouteLeg::Terrestrial { km: p.haversine_km(&lp.location()), continent };
+                (leg.effective_km(), leg)
+            })
+        })
+        .collect()
+}
+
+/// Dijkstra over the cable graph between endpoints on different
+/// continents. Per call only the endpoints' access edges are built; the
+/// landing-to-landing edges come from [`landing_edges`]. Every node
+/// relaxes its edges in the order a full adjacency list would hold them
+/// (source, destination, other landings in index order, cables), so the
+/// cost sums and equal-cost tie-breaks do not depend on how the graph is
+/// stored.
 fn shortest_cable_route(
     src: GeoPoint,
     src_continent: Continent,
     dst: GeoPoint,
     dst_continent: Continent,
 ) -> RoutedPath {
-    // Node list: 0 = Source, 1 = Dest, 2.. = landing points.
-    let n = 2 + LANDING_POINTS.len();
-    let node = |i: usize| -> Node {
-        match i {
-            0 => Node::Source,
-            1 => Node::Dest,
-            k => Node::Landing(LandingId((k - 2) as u32)),
-        }
-    };
+    let n = LANDING + LANDING_POINTS.len();
+    let landing = landing_edges();
+    let src_edges = access_edges(src, src_continent);
+    let dst_edges = access_edges(dst, dst_continent);
 
-    let loc = |i: usize| -> GeoPoint {
-        match node(i) {
-            Node::Source => src,
-            Node::Dest => dst,
-            Node::Landing(id) => cable::landing(id).location(),
-        }
-    };
-    let serves = |i: usize, c: Continent| -> bool {
-        match node(i) {
-            Node::Source => c == src_continent,
-            Node::Dest => c == dst_continent,
-            Node::Landing(id) => cable::landing(id).serves(c),
-        }
-    };
-
-    // Adjacency: (neighbour, effective cost, leg).
-    let mut adj: Vec<Vec<(usize, f64, RouteLeg)>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            // Terrestrial edge on the cheapest shared continent.
-            let best = Continent::ALL
-                .iter()
-                .filter(|&&c| serves(i, c) && serves(j, c))
-                .map(|&c| (terrestrial_stretch(c), c))
-                .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-            if let Some((_, cont)) = best {
-                let km = loc(i).haversine_km(&loc(j));
-                let leg = RouteLeg::Terrestrial { km, continent: cont };
-                let cost = leg.effective_km();
-                adj[i].push((j, cost, leg.clone()));
-                adj[j].push((i, cost, leg));
-            }
-        }
-    }
-    for c in CABLES {
-        let (i, j) = (2 + c.a.0 as usize, 2 + c.b.0 as usize);
-        let leg = RouteLeg::Cable { name: c.name, km: c.length_km };
-        let cost = leg.effective_km();
-        adj[i].push((j, cost, leg.clone()));
-        adj[j].push((i, cost, leg));
-    }
-
-    // Dijkstra from Source (0) to Dest (1) on effective cost.
+    // Dijkstra from the source to the destination on effective cost.
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(usize, RouteLeg)>> = vec![None; n];
+    let mut prev: Vec<Option<(usize, &RouteLeg)>> = vec![None; n];
     let mut heap = BinaryHeap::new();
-    dist[0] = 0.0;
-    heap.push(QueueEntry { cost: 0.0, node_ix: 0 });
+    dist[SOURCE] = 0.0;
+    heap.push(QueueEntry { cost: 0.0, node_ix: SOURCE });
     while let Some(QueueEntry { cost, node_ix }) = heap.pop() {
         if cost > dist[node_ix] {
             continue;
         }
-        if node_ix == 1 {
+        if node_ix == DEST {
             break;
         }
-        for (next, w, leg) in &adj[node_ix] {
+        let mut relax = |next: usize, w: f64, leg| {
             let nd = cost + w;
-            if nd < dist[*next] {
-                dist[*next] = nd;
-                prev[*next] = Some((node_ix, leg.clone()));
-                heap.push(QueueEntry { cost: nd, node_ix: *next });
+            if nd < dist[next] {
+                dist[next] = nd;
+                prev[next] = Some((node_ix, leg));
+                heap.push(QueueEntry { cost: nd, node_ix: next });
+            }
+        };
+        if node_ix == SOURCE {
+            for (k, edge) in src_edges.iter().enumerate() {
+                if let Some((w, leg)) = edge {
+                    relax(LANDING + k, *w, leg);
+                }
+            }
+        } else {
+            let k = node_ix - LANDING;
+            if let Some((w, leg)) = &src_edges[k] {
+                relax(SOURCE, *w, leg);
+            }
+            if let Some((w, leg)) = &dst_edges[k] {
+                relax(DEST, *w, leg);
+            }
+            for (next, w, leg) in &landing[k] {
+                relax(*next, *w, leg);
             }
         }
     }
 
     // Reconstruct. The cable graph is connected across all continents, so a
     // route always exists; fall back to a raw great circle defensively.
-    if !dist[1].is_finite() {
+    if !dist[DEST].is_finite() {
         let km = src.haversine_km(&dst);
         let leg = RouteLeg::Terrestrial { km, continent: src_continent };
         return RoutedPath {
@@ -226,15 +257,15 @@ fn shortest_cable_route(
         };
     }
     let mut legs = Vec::new();
-    let mut cur = 1usize;
-    while let Some((p, leg)) = prev[cur].clone() {
-        legs.push(leg);
+    let mut cur = DEST;
+    while let Some((p, leg)) = prev[cur] {
+        legs.push(leg.clone());
         cur = p;
     }
     legs.reverse();
     let crosses_sea = legs.iter().any(|l| matches!(l, RouteLeg::Cable { .. }));
     let total_km = legs.iter().map(|l| l.km()).sum();
-    RoutedPath { legs, total_km, effective_km: dist[1], crosses_sea }
+    RoutedPath { legs, total_km, effective_km: dist[DEST], crosses_sea }
 }
 
 #[cfg(test)]

@@ -150,9 +150,9 @@ fn partner_of(cc: CountryCode) -> Option<CountryCode> {
 /// Regions a probe on `continent` targets: all same-continent regions plus
 /// the paper's §4.3 neighbouring-continent additions.
 pub fn target_regions(continent: Continent) -> Vec<RegionId> {
-    let mut out: Vec<RegionId> = region::in_continent(continent).map(|(id, _)| id).collect();
+    let mut out = region::in_continent(continent).to_vec();
     for extra in continent.intercontinental_targets() {
-        out.extend(region::in_continent(*extra).map(|(id, _)| id));
+        out.extend_from_slice(region::in_continent(*extra));
     }
     out
 }
@@ -184,10 +184,7 @@ fn select_targets(
     // in scope: Fig. 3's nearest-DC estimation needs in-country candidates,
     // and countries with in-land datacenters are exactly the interesting
     // ones.
-    let own: Vec<RegionId> = region::all()
-        .filter(|(_, r)| r.country() == country)
-        .map(|(id, _)| id)
-        .collect();
+    let own = region::in_country(country);
     if !own.is_empty() {
         let r0 = (mix(&[seed, probe_id, window, 0x0117]) % own.len() as u64) as usize;
         for i in 0..own.len().min(2) {
@@ -196,9 +193,9 @@ fn select_targets(
     }
 
     if let Some(partner) = partner_of(country) {
-        let partner_regions: Vec<RegionId> = region::all()
-            .filter(|(_, r)| r.country() == partner)
-            .map(|(id, _)| id)
+        let partner_regions: Vec<RegionId> = region::in_country(partner)
+            .iter()
+            .copied()
             .filter(|id| !chosen.contains(id))
             .collect();
         if !partner_regions.is_empty() {
@@ -212,13 +209,14 @@ fn select_targets(
     }
 
     let same: Vec<RegionId> = region::in_continent(continent)
-        .map(|(id, _)| id)
+        .iter()
+        .copied()
         .filter(|id| !chosen.contains(id))
         .collect();
     let extra: Vec<RegionId> = continent
         .intercontinental_targets()
         .iter()
-        .flat_map(|c| region::in_continent(*c).map(|(id, _)| id))
+        .flat_map(|c| region::in_continent(*c).iter().copied())
         .filter(|id| !chosen.contains(id))
         .collect();
 

@@ -198,7 +198,7 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
             let info = if cities.is_empty() {
                 AsInfo::new(*asn, name.clone(), AsKind::AccessIsp, cc, c.continent, c.location())
             } else {
-                let mut sorted = cities.clone();
+                let mut sorted = cities.to_vec();
                 sorted.sort_by(|a, b| b.weight.total_cmp(&a.weight));
                 let anchor = sorted[i % sorted.len()];
                 AsInfo::new(

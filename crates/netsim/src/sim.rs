@@ -633,7 +633,7 @@ impl Simulator {
 /// Nearest major city (gazetteer weight >= 0.08) of the client's country.
 fn nearest_major_city(country: cloudy_geo::CountryCode, near: GeoPoint) -> Option<GeoPoint> {
     city::in_country(country)
-        .into_iter()
+        .iter()
         .filter(|c| c.weight >= 0.08)
         .map(|c| c.location())
         .min_by(|a, b| {

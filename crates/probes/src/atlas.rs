@@ -99,7 +99,7 @@ pub fn population(world: &BuiltWorld, fraction: f64, seed: u64) -> Population {
                 } else {
                     let mut pick = ((h >> 17) as f64 / (1u64 << 47) as f64) * cwsum;
                     let mut chosen = cities[cities.len() - 1];
-                    for ct in &cities {
+                    for ct in cities {
                         if pick < ct.weight {
                             chosen = ct;
                             break;
