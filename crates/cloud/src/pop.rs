@@ -108,16 +108,15 @@ impl PopSet {
         self.pops.is_empty()
     }
 
-    /// The PoP nearest to `point`, optionally restricted to a continent.
+    /// The PoP nearest to `point` (the first on a tie), optionally
+    /// restricted to a continent.
     pub fn nearest(&self, point: GeoPoint, within: Option<Continent>) -> Option<&PopSite> {
         self.pops
             .iter()
             .filter(|p| within.is_none_or(|c| p.continent == c))
-            .min_by(|a, b| {
-                let da = a.location.haversine_km(&point);
-                let db = b.location.haversine_km(&point);
-                da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .map(|p| (p, p.location.haversine_km(&point)))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(p, _)| p)
     }
 }
 

@@ -114,7 +114,7 @@ pub fn build(cfg: &WorldConfig) -> BuiltWorld {
 
     // --- Tier-1 clique -------------------------------------------------
     for (asn, name) in known::TIER1S {
-        let anchor = crate::hubs::hub_cities(*asn)[0];
+        let anchor = crate::hubs::hub_cities(*asn)[0].name;
         graph.add_as(as_info(*asn, name, AsKind::Tier1, anchor));
     }
     for i in 0..known::TIER1S.len() {

@@ -11,14 +11,14 @@
 //! route built from scratch. [`RouteKey`] therefore captures **every**
 //! input `Simulator::route` reads (enforced by a proptest): the probe hash
 //! (home/CGN router addressing), the exact location (client-side hop
-//! geometry and router-IP salts), country and continent (wide-area
-//! geometry), the serving ISP, whether the access is home Wi-Fi (home
-//! router hop), the CGN artifact flag, and the destination region. Inputs
-//! `route` does *not* read — VPN flag, public IP, the rest of the access
-//! profile — are deliberately excluded, so probes differing only in those
-//! share an entry. The cache may change *when* a route is computed, never
-//! *what* it contains; the audit race check runs cached-vs-uncached legs
-//! to hold that line.
+//! geometry and router-IP salts), country (egress city and transit
+//! carrier) and continent (access leg), the serving ISP, whether the
+//! access is home Wi-Fi (home router hop), the CGN artifact flag, and the
+//! destination region. Inputs `route` does *not* read — VPN flag, public
+//! IP, the rest of the access profile — are deliberately excluded, so
+//! probes differing only in those share an entry. The cache may change
+//! *when* a route is computed, never *what* it contains; the audit race
+//! check runs cached-vs-uncached legs to hold that line.
 
 use crate::client::ClientCtx;
 use crate::path::RoutePath;

@@ -7,41 +7,44 @@
 //! Middle-Eastern paths detouring via Europe, which the paper's Fig. 6a and
 //! Fig. 18b latencies exhibit.
 
-use cloudy_geo::{city, GeoPoint};
+use cloudy_geo::city::{self, City};
+use cloudy_geo::GeoPoint;
 use cloudy_topology::{known, Asn};
+
+/// Gazetteer rows for hub names, joined at compile time: an unknown name
+/// fails the build.
+macro_rules! hubs {
+    ($($name:literal),* $(,)?) => {
+        const { &[$(city::resolve($name)),*] }
+    };
+}
 
 /// Hub cities for each named Tier-1. Synthetic Tier-2s use their anchor city
 /// instead (see `Network`).
-pub fn hub_cities(carrier: Asn) -> &'static [&'static str] {
+pub fn hub_cities(carrier: Asn) -> &'static [&'static City] {
     match carrier {
-        a if a == known::TELIA => &["Stockholm", "Frankfurt", "London", "Ashburn", "Chicago"],
-        a if a == known::GTT => &["London", "Frankfurt", "New York", "Dallas", "Madrid"],
-        a if a == known::NTT_GLOBAL => &["Tokyo", "Osaka", "Los Angeles", "London", "Singapore"],
-        a if a == known::TATA => &["Mumbai", "Chennai", "Singapore", "London", "New York"],
-        a if a == known::COGENT => &["Ashburn", "Chicago", "Los Angeles", "Paris", "Frankfurt"],
-        a if a == known::LUMEN => &["Denver", "Ashburn", "London", "Amsterdam", "Sao Paulo"],
-        a if a == known::SPARKLE => &["Milan", "Marseille", "Miami", "Sao Paulo", "Buenos Aires"],
-        a if a == known::ZAYO => &["Denver", "New York", "London", "Paris"],
-        a if a == known::PCCW => &["Hong Kong", "Singapore", "Tokyo", "London", "San Francisco"],
-        a if a == known::ORANGE_OTI => &["Paris", "Marseille", "Dakar", "Abidjan", "Mumbai"],
+        a if a == known::TELIA => hubs!["Stockholm", "Frankfurt", "London", "Ashburn", "Chicago"],
+        a if a == known::GTT => hubs!["London", "Frankfurt", "New York", "Dallas", "Madrid"],
+        a if a == known::NTT_GLOBAL => hubs!["Tokyo", "Osaka", "Los Angeles", "London", "Singapore"],
+        a if a == known::TATA => hubs!["Mumbai", "Chennai", "Singapore", "London", "New York"],
+        a if a == known::COGENT => hubs!["Ashburn", "Chicago", "Los Angeles", "Paris", "Frankfurt"],
+        a if a == known::LUMEN => hubs!["Denver", "Ashburn", "London", "Amsterdam", "Sao Paulo"],
+        a if a == known::SPARKLE => hubs!["Milan", "Marseille", "Miami", "Sao Paulo", "Buenos Aires"],
+        a if a == known::ZAYO => hubs!["Denver", "New York", "London", "Paris"],
+        a if a == known::PCCW => hubs!["Hong Kong", "Singapore", "Tokyo", "London", "San Francisco"],
+        a if a == known::ORANGE_OTI => hubs!["Paris", "Marseille", "Dakar", "Abidjan", "Mumbai"],
         _ => &[],
     }
 }
 
-/// The carrier hub nearest to `point`, or `None` for carriers without a hub
-/// table (synthetic Tier-2s).
-pub fn nearest_hub(carrier: Asn, point: GeoPoint) -> Option<(&'static str, GeoPoint)> {
+/// The carrier hub nearest to `point` (the first in table order on a tie),
+/// or `None` for carriers without a hub table (synthetic Tier-2s).
+pub fn nearest_hub(carrier: Asn, point: GeoPoint) -> Option<&'static City> {
     hub_cities(carrier)
         .iter()
-        .map(|name| {
-            let (_, c) = city::by_name(name).expect("hub city in gazetteer"); // audit:allow(expect)
-            (*name, c.location())
-        })
-        .min_by(|a, b| {
-            let da = a.1.haversine_km(&point);
-            let db = b.1.haversine_km(&point);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .map(|c| (*c, c.location().haversine_km(&point)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(c, _)| c)
 }
 
 #[cfg(test)]
@@ -51,8 +54,10 @@ mod tests {
     #[test]
     fn all_hub_cities_exist_in_gazetteer() {
         for (asn, _) in known::TIER1S {
-            for name in hub_cities(*asn) {
-                assert!(city::by_name(name).is_some(), "missing hub city {name}");
+            for hub in hub_cities(*asn) {
+                let (_, by_name) = city::by_name(hub.name).expect("hub city in gazetteer");
+                assert_eq!(hub.country, by_name.country, "{} resolves to another row", hub.name);
+                assert_eq!(hub.location(), by_name.location(), "{} resolves to another row", hub.name);
             }
             assert!(!hub_cities(*asn).is_empty(), "no hubs for {asn}");
         }
@@ -69,15 +74,15 @@ mod tests {
         // From Nairobi, Telia's nearest hub is in Europe (no African hub) —
         // the trombone.
         let nairobi = GeoPoint::new(-1.29, 36.82);
-        let (name, _) = nearest_hub(known::TELIA, nairobi).unwrap();
+        let name = nearest_hub(known::TELIA, nairobi).unwrap().name;
         assert!(["Frankfurt", "London", "Stockholm"].contains(&name), "got {name}");
         // From Tokyo, NTT's nearest hub is Tokyo itself.
         let tokyo = GeoPoint::new(35.68, 139.65);
-        let (name, _) = nearest_hub(known::NTT_GLOBAL, tokyo).unwrap();
+        let name = nearest_hub(known::NTT_GLOBAL, tokyo).unwrap().name;
         assert_eq!(name, "Tokyo");
         // Orange has West-African hubs: from Dakar, the hub is local.
         let dakar = GeoPoint::new(14.72, -17.47);
-        let (name, _) = nearest_hub(known::ORANGE_OTI, dakar).unwrap();
+        let name = nearest_hub(known::ORANGE_OTI, dakar).unwrap().name;
         assert_eq!(name, "Dakar");
     }
 }

@@ -201,6 +201,74 @@ proptest! {
     }
 
     #[test]
+    fn egress_memo_key_captures_every_middle_input(
+        client in arb_client(),
+        region in arb_region(),
+        other_hash in any::<u64>(),
+    ) {
+        // The wide-area memo is keyed by (ISP, country, egress anchor,
+        // region), not by the probe's cell. Two probes in different cells
+        // that share those must get the same middle; if the middle ever
+        // reads the cell (or anything else off-key), the second probe is
+        // served the first one's geometry and differs from its oracle.
+        let (sim, _) = world();
+        let anchor = sim.access_leg(&client).anchor;
+        let steps = [(0.1, 0.0), (-0.1, 0.0), (0.0, 0.1), (0.0, -0.1)];
+        let other = steps.iter().find_map(|(dlat, dlon)| {
+            let mut o = client.clone();
+            o.probe_hash = other_hash;
+            o.location = GeoPoint::new(client.location.lat() + dlat, client.location.lon() + dlon);
+            (sim.access_leg(&o).anchor == anchor).then_some(o)
+        });
+        let Some(other) = other else {
+            return Ok(()); // Every neighbouring cell egresses elsewhere.
+        };
+        let _ = sim.route(&client, region);
+        prop_assert_eq!(&*sim.route(&other, region), &sim.route_uncached(&other, region));
+        // The converse: a probe of the same ISP and country that egresses
+        // at another city must not be served this entry.
+        let elsewhere = cloudy_geo::city::in_country(client.country).iter().find_map(|c| {
+            let mut o = other.clone();
+            o.location = c.location();
+            (sim.access_leg(&o).anchor != anchor).then_some(o)
+        });
+        if let Some(elsewhere) = elsewhere {
+            let uncached = sim.route_uncached(&elsewhere, region);
+            prop_assert_eq!(&*sim.route(&elsewhere, region), &uncached);
+        }
+    }
+
+    #[test]
+    fn ingress_memo_key_captures_every_ingress_input(
+        client in arb_client(),
+        region in arb_region(),
+        isp_pick in any::<usize>(),
+        other_hash in any::<u64>(),
+    ) {
+        // The peer-ingress memo is keyed by (provider, egress anchor,
+        // region continent), so probes of another ISP routed to another
+        // region of the same provider and continent share the entry the
+        // first route filled, and must still match their oracle.
+        let (sim, built) = world();
+        let _ = sim.route(&client, region);
+        let dest = sim.net.region(region).region;
+        let isps = &built.isps_by_country[&client.country];
+        let mut other = client.clone();
+        other.isp = isps[isp_pick % isps.len()];
+        other.probe_hash = other_hash;
+        let sibling = cloudy_cloud::region::of_provider(dest.provider)
+            .map(|(id, _)| id)
+            .find(|&id| id != region && sim.net.region(id).region.continent() == dest.continent())
+            .unwrap_or(region);
+        prop_assert_eq!(&*sim.route(&other, sibling), &sim.route_uncached(&other, sibling));
+        let anchor = sim.access_leg(&client).anchor;
+        prop_assert_eq!(
+            sim.cached_direct_ingress(dest.provider, anchor, dest.continent()),
+            sim.direct_ingress(dest.provider, anchor, dest.continent())
+        );
+    }
+
+    #[test]
     fn fault_draws_depend_only_on_task_identity(
         probe_hash in any::<u64>(),
         region_tag in any::<u64>(),

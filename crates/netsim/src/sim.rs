@@ -14,10 +14,10 @@ use crate::network::Network;
 use crate::path::RoutePath;
 use crate::rng::{mix, FlowRng};
 use cloudy_cloud::{PeeringKind, Provider, RegionId, WanFootprint};
-use cloudy_geo::{city, distance::routed_distance_km, Continent, GeoPoint};
+use cloudy_geo::{city, distance::routed_distance_km, Continent, CountryCode, GeoPoint};
 use cloudy_lastmile::stats_math::LogNormal;
 use cloudy_lastmile::AccessType;
-use cloudy_topology::{AsKind, Asn, IxpId};
+use cloudy_topology::{AsInfo, AsKind, Asn, IxpId};
 use parking_lot::RwLock;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -54,37 +54,68 @@ pub struct TraceHop {
 /// Extra RTT charged when a probe tunnels through a VPN (median, ms).
 const VPN_DETOUR_RTT_MS: f64 = 24.0;
 
-/// Cached wide-area structure shared by probes in the same (city, ISP).
+/// The per-cell access leg: the ISP egress city nearest the probe's grid
+/// cell (the anchor) and the kilometres from the cell to it. Computed per
+/// route: with the client-side hops, it is the only part of a route that
+/// reads the probe's location.
+pub(crate) struct AccessLeg {
+    pub(crate) anchor: GeoPoint,
+    d_access_km: f64,
+}
+
+/// Wide-area structure after the ISP core, shared by every probe whose ISP
+/// egresses at the same anchor (see [`EgressKey`]).
 struct WideArea {
     interconnect: PeeringKind,
     as_path: Vec<Asn>,
     via_ixp: Option<IxpId>,
-    d_access_km: f64,
     /// Hops after the ISP core: (kind, owner, location, effective km).
     middle: Vec<(HopKind, Option<Asn>, GeoPoint, f64)>,
-    isp_anchor: GeoPoint,
 }
 
 /// The route + RTT engine over an assembled [`Network`].
 pub struct Simulator {
     pub net: Network,
     wide_cache: RwLock<WideCache>,
+    ingress_cache: RwLock<IngressCache>,
     route_cache: RouteCache,
 }
 
-/// Memoized wide-area geometry keyed by (ISP, coarse location, region).
-type WideCache = HashMap<(Asn, (i32, i32), RegionId), Arc<WideArea>>;
+/// Every input [`Simulator::build_wide_area`] reads: the serving ISP (its
+/// continent, peering policy, IXP links and public transit chain), the
+/// client's country (the engineered transit carrier), the egress anchor
+/// (as f64 bits) and the region. The probe's cell is not among them: it
+/// reaches the middle only through the anchor.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct EgressKey {
+    isp: Asn,
+    country: CountryCode,
+    anchor: (u64, u64),
+    region: RegionId,
+}
+
+/// Memoized wide-area middles, one per ISP egress and region.
+type WideCache = HashMap<EgressKey, Arc<WideArea>>;
+
+/// Memoized non-IXP peer ingress, keyed by everything
+/// [`Simulator::direct_ingress`] reads: (provider, anchor bits, region
+/// continent).
+type IngressCache = HashMap<(Provider, (u64, u64), Continent), (GeoPoint, Continent)>;
+
+fn point_bits(p: GeoPoint) -> (u64, u64) {
+    (p.lat().to_bits(), p.lon().to_bits())
+}
 
 fn loc_key(p: GeoPoint) -> (i32, i32) {
     ((p.lat() * 10.0).round() as i32, (p.lon() * 10.0).round() as i32)
 }
 
-/// Centre of a cache grid cell. Wide-area geometry is computed from this
-/// point (not the probe's exact jittered location), so every probe in the
-/// same (ISP, cell, region) shares bit-identical geometry regardless of
-/// which one populated the cache first — a determinism requirement under
-/// parallel execution. The quantisation error is < 8 km, far below the
-/// geometric uncertainty already modelled by path stretch.
+/// Centre of a 0.1° grid cell. The access leg (egress anchor and access
+/// kilometres, [`Simulator::access_leg`]) is computed from this point, not
+/// the probe's exact jittered location, and router-IP salts derive from
+/// the cell index; the client-side hops themselves sit at the exact
+/// location. The quantisation error is < 8 km, far below the geometric
+/// uncertainty already modelled by path stretch.
 fn grid_center(key: (i32, i32)) -> GeoPoint {
     GeoPoint::new(key.0 as f64 / 10.0, key.1 as f64 / 10.0)
 }
@@ -93,15 +124,12 @@ fn eff(a: GeoPoint, ca: Continent, b: GeoPoint, cb: Continent) -> f64 {
     routed_distance_km(a, ca, b, cb).effective_km
 }
 
-fn city_continent(name: &str) -> Continent {
-    city::by_name(name).expect("gazetteer city").1.continent() // audit:allow(expect)
-}
-
 impl Simulator {
     pub fn new(net: Network) -> Self {
         Simulator {
             net,
             wide_cache: RwLock::new(HashMap::new()),
+            ingress_cache: RwLock::new(HashMap::new()),
             route_cache: RouteCache::default(),
         }
     }
@@ -113,8 +141,11 @@ impl Simulator {
     /// sampling over either is byte-equivalent.
     pub fn route(&self, client: &ClientCtx, region: RegionId) -> Arc<RoutePath> {
         let key = RouteKey::new(client, region);
-        self.route_cache
-            .get_or_insert_with(key, || self.assemble_route(client, region, &self.wide_area(client, region)))
+        self.route_cache.get_or_insert_with(key, || {
+            let leg = self.access_leg(client);
+            let wa = self.wide_area(client.isp, client.country, leg.anchor, region);
+            self.assemble_route(client, region, &leg, &wa)
+        })
     }
 
     /// The route-plan cache, for stats (`hit_rate`) and explicit `clear`.
@@ -122,20 +153,30 @@ impl Simulator {
         &self.route_cache
     }
 
-    /// Build the full route from scratch, bypassing every layer of route
-    /// memoization — the sharded route-plan cache *and* the wide-area
-    /// geometry cache. Wide-area geometry is a pure function of the grid
-    /// cell (see [`grid_center`]), so the result is bit-identical to the
-    /// cached plan; only the cost differs. This is the `--no-route-cache`
-    /// escape hatch and the reference leg of the audit race check.
+    /// Build the full route from scratch, reading no memo: not the
+    /// route-plan cache, the wide-area cache or the ingress cache. Each
+    /// memoized piece is a pure function of its key, so the result is
+    /// bit-identical to [`Simulator::route`]; only the cost differs. This
+    /// is the `--no-route-cache` escape hatch and the reference leg of the
+    /// audit race check.
     pub fn route_uncached(&self, client: &ClientCtx, region: RegionId) -> RoutePath {
-        self.assemble_route(client, region, &self.build_wide_area(client, region))
+        let leg = self.access_leg(client);
+        let wa = self.build_wide_area(client.isp, client.country, leg.anchor, region, |p, near, cont| {
+            self.direct_ingress(p, near, cont)
+        });
+        self.assemble_route(client, region, &leg, &wa)
     }
 
-    /// Assemble the per-probe route around shared wide-area geometry:
-    /// client-side hops (home router / CGN / ISP access+core) plus the
-    /// memoizable middle and destination hops.
-    fn assemble_route(&self, client: &ClientCtx, region: RegionId, wa: &WideArea) -> RoutePath {
+    /// Assemble the per-probe route: client-side hops (home router / CGN /
+    /// ISP access), the ISP core at the access leg's anchor, then the
+    /// shared middle and destination hops.
+    fn assemble_route(
+        &self,
+        client: &ClientCtx,
+        region: RegionId,
+        leg: &AccessLeg,
+        wa: &WideArea,
+    ) -> RoutePath {
         let salt_base = mix(&[loc_key(client.location).0 as u64, loc_key(client.location).1 as u64]);
         let mut hops: Vec<Hop> = Vec::with_capacity(wa.middle.len() + 4);
 
@@ -171,8 +212,8 @@ impl Simulator {
             HopKind::IspCore,
             self.net.router_ip(client.isp, mix(&[salt_base, 2])),
             Some(client.isp),
-            wa.isp_anchor,
-            wa.d_access_km,
+            leg.anchor,
+            leg.d_access_km,
         ));
 
         // Middle + destination.
@@ -394,43 +435,67 @@ impl Simulator {
 
     // ---- wide-area construction ----------------------------------------
 
-    fn wide_area(&self, client: &ClientCtx, region: RegionId) -> Arc<WideArea> {
-        let key = (client.isp, loc_key(client.location), region);
-        if let Some(hit) = self.wide_cache.read().get(&key) {
-            return hit.clone();
-        }
-        let built = Arc::new(self.build_wide_area(client, region));
-        self.wide_cache.write().insert(key, built.clone());
-        built
+    fn isp_info(&self, isp: Asn) -> &AsInfo {
+        let info = self.net.graph.info(isp);
+        info.unwrap_or_else(|| panic!("client ISP {isp} not in graph")) // audit:allow(panic)
     }
 
-    fn build_wide_area(&self, client: &ClientCtx, region_id: RegionId) -> WideArea {
-        // All geometry derives from the cache cell's centre; see
-        // `grid_center`.
+    /// The access leg of `client`, from its grid cell (see [`grid_center`]).
+    pub(crate) fn access_leg(&self, client: &ClientCtx) -> AccessLeg {
         let cell = grid_center(loc_key(client.location));
-        let ep = self.net.region(region_id);
-        let provider = ep.region.provider;
-        let region_loc = ep.region.location();
-        let region_cont = ep.region.continent();
-        let isp_info = self
-            .net
-            .graph
-            .info(client.isp)
-            .unwrap_or_else(|| panic!("client ISP {} not in graph", client.isp)); // audit:allow(panic)
+        let isp_info = self.isp_info(client.isp);
         // Real ISPs egress to peering/transit at their PoP nearest the
         // subscriber, not at a single national hub: use the nearest major
         // city of the probe's country (falls back to the AS anchor for
         // countries without gazetteer cities).
-        let isp_anchor = nearest_major_city(client.country, cell).unwrap_or(isp_info.location);
+        let anchor = nearest_major_city(client.country, cell).unwrap_or(isp_info.location);
+        AccessLeg { anchor, d_access_km: eff(cell, client.continent, anchor, isp_info.continent) }
+    }
+
+    /// [`Simulator::build_wide_area`], memoized per [`EgressKey`], with the
+    /// peer ingress memoized too.
+    fn wide_area(
+        &self,
+        isp: Asn,
+        country: CountryCode,
+        anchor: GeoPoint,
+        region: RegionId,
+    ) -> Arc<WideArea> {
+        let key = EgressKey { isp, country, anchor: point_bits(anchor), region };
+        if let Some(hit) = self.wide_cache.read().get(&key) {
+            return hit.clone();
+        }
+        let built = Arc::new(self.build_wide_area(isp, country, anchor, region, |p, near, cont| {
+            self.cached_direct_ingress(p, near, cont)
+        }));
+        self.wide_cache.write().insert(key, built.clone());
+        built
+    }
+
+    /// The route's middle, from the ISP egress at `anchor` to the region:
+    /// a pure function of the arguments ([`EgressKey`]) and of `ingress`,
+    /// which must return what [`Simulator::direct_ingress`] returns.
+    fn build_wide_area(
+        &self,
+        isp: Asn,
+        country: CountryCode,
+        isp_anchor: GeoPoint,
+        region_id: RegionId,
+        ingress: impl Fn(Provider, GeoPoint, Continent) -> (GeoPoint, Continent),
+    ) -> WideArea {
+        let ep = self.net.region(region_id);
+        let provider = ep.region.provider;
+        let region_loc = ep.region.location();
+        let region_cont = ep.region.continent();
+        let isp_info = self.isp_info(isp);
         let isp_cont = isp_info.continent;
-        let d_access = eff(cell, client.continent, isp_anchor, isp_cont);
 
         // The interconnection is the provider's client-facing policy for
         // this ISP (the same deterministic decision the world builder used
         // to create peer edges). Path structure follows from it; the
         // resulting traceroutes are what the analysis pipeline classifies.
-        let decision = self.net.policy.decide(provider, client.isp, isp_info.country, isp_info.continent);
-        let via_ixp = self.net.fabric_links.get(&(client.isp, provider.asn())).copied();
+        let decision = self.net.policy.decide(provider, isp, isp_info.country, isp_info.continent);
+        let via_ixp = self.net.fabric_links.get(&(isp, provider.asn())).copied();
         let n_inter = match decision {
             PeeringKind::Direct | PeeringKind::IxpPublic => 0usize,
             PeeringKind::PrivateTransit => 1,
@@ -443,10 +508,12 @@ impl Simulator {
         let effective_as_path: Vec<Asn>;
 
         if n_inter == 0 {
-            effective_as_path = vec![client.isp, pasn];
+            effective_as_path = vec![isp, pasn];
             // Peer edge: direct or across a public exchange.
-            let ingress = self.direct_ingress(provider, isp_anchor, region_cont, via_ixp);
-            let (in_loc, in_cont) = ingress;
+            let (in_loc, in_cont) = match via_ixp {
+                Some(ixp) => self.ixp_ingress(ixp),
+                None => ingress(provider, isp_anchor, region_cont),
+            };
             let d_peer = eff(isp_anchor, isp_cont, in_loc, in_cont);
             let d_wan = eff(in_loc, in_cont, region_loc, region_cont);
             if let Some(ixp) = via_ixp {
@@ -472,11 +539,11 @@ impl Simulator {
             // elsewhere), which also becomes the observable middle AS.
             let carrier = self.net.policy.transit_carrier(
                 provider,
-                client.isp,
-                client.country,
+                isp,
+                country,
                 ep.region.country(),
             );
-            effective_as_path = vec![client.isp, carrier, pasn];
+            effective_as_path = vec![isp, carrier, pasn];
             let (entry_loc, entry_cont) = hub_or_anchor(&self.net, carrier, isp_anchor);
             let (exit_loc, exit_cont) = hub_or_anchor(&self.net, carrier, region_loc);
             let d1 = eff(isp_anchor, isp_cont, entry_loc, entry_cont);
@@ -489,7 +556,7 @@ impl Simulator {
             middle.push((HopKind::CloudEdge, Some(pasn), region_loc, d3));
         } else {
             interconnect = PeeringKind::Public;
-            effective_as_path = self.synth_public_path(client.isp, provider);
+            effective_as_path = self.synth_public_path(isp, provider);
             let mut prev_loc = isp_anchor;
             let mut prev_cont = isp_cont;
             let inters: Vec<Asn> =
@@ -531,9 +598,7 @@ impl Simulator {
             interconnect,
             as_path: effective_as_path,
             via_ixp: if interconnect == PeeringKind::IxpPublic { via_ixp } else { None },
-            d_access_km: d_access,
             middle,
-            isp_anchor,
         }
     }
 
@@ -590,63 +655,75 @@ impl Simulator {
         path
     }
 
-    /// Ingress for peer paths: the provider PoP nearest the ISP whose
-    /// continent the WAN can connect to the region's continent (region-city
-    /// PoPs always qualify, so a candidate always exists).
-    fn direct_ingress(
+    /// Ingress for public peering: the exchange itself, where the cloud
+    /// edge is colocated.
+    fn ixp_ingress(&self, ixp: IxpId) -> (GeoPoint, Continent) {
+        let ixp = self.net.ixps.get(ixp).expect("known ixp"); // audit:allow(expect)
+        // Continent of the exchange's city.
+        let cont = Continent::ALL
+            .iter()
+            .copied()
+            .min_by(|a, b| {
+                let fa = continent_centroid_distance(*a, ixp.location);
+                let fb = continent_centroid_distance(*b, ixp.location);
+                fa.total_cmp(&fb)
+            })
+            .expect("nonempty"); // audit:allow(expect)
+        (ixp.location, cont)
+    }
+
+    /// Ingress for direct peering: the provider PoP nearest the ISP egress
+    /// whose continent the WAN can connect to the region's continent
+    /// (region-city PoPs always qualify, so a candidate always exists).
+    pub(crate) fn direct_ingress(
         &self,
         provider: Provider,
         near: GeoPoint,
         region_cont: Continent,
-        via_ixp: Option<IxpId>,
     ) -> (GeoPoint, Continent) {
-        if let Some(ixp) = via_ixp {
-            // Public peering happens at the exchange; the edge is colocated.
-            let ixp = self.net.ixps.get(ixp).expect("known ixp"); // audit:allow(expect)
-            // Continent of the exchange's city.
-            let cont = Continent::ALL
-                .iter()
-                .copied()
-                .min_by(|a, b| {
-                    let fa = continent_centroid_distance(*a, ixp.location);
-                    let fb = continent_centroid_distance(*b, ixp.location);
-                    fa.total_cmp(&fb)
-                })
-                .expect("nonempty"); // audit:allow(expect)
-            return (ixp.location, cont);
-        }
         let wan = WanFootprint::new(provider);
-        let pops = &self.net.pops[&provider];
-        let best = pops
+        let (best, _) = self.net.pops[&provider]
             .iter()
             .filter(|p| p.continent == region_cont || wan.wan_connects(p.continent, region_cont))
-            .min_by(|a, b| {
-                let da = a.location.haversine_km(&near);
-                let db = b.location.haversine_km(&near);
-                da.total_cmp(&db)
-            })
+            .map(|p| (p, p.location.haversine_km(&near)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("region-city PoP always eligible"); // audit:allow(expect)
         (best.location, best.continent)
+    }
+
+    /// [`Simulator::direct_ingress`], memoized per (provider, egress,
+    /// region continent): probes of every ISP and region that share those
+    /// share one PoP scan.
+    pub(crate) fn cached_direct_ingress(
+        &self,
+        provider: Provider,
+        near: GeoPoint,
+        region_cont: Continent,
+    ) -> (GeoPoint, Continent) {
+        let key = (provider, point_bits(near), region_cont);
+        if let Some(hit) = self.ingress_cache.read().get(&key) {
+            return *hit;
+        }
+        let found = self.direct_ingress(provider, near, region_cont);
+        self.ingress_cache.write().insert(key, found);
+        found
     }
 }
 
 /// Nearest major city (gazetteer weight >= 0.08) of the client's country.
-fn nearest_major_city(country: cloudy_geo::CountryCode, near: GeoPoint) -> Option<GeoPoint> {
+fn nearest_major_city(country: CountryCode, near: GeoPoint) -> Option<GeoPoint> {
     city::in_country(country)
         .iter()
         .filter(|c| c.weight >= 0.08)
-        .map(|c| c.location())
-        .min_by(|a, b| {
-            let da = a.haversine_km(&near);
-            let db = b.haversine_km(&near);
-            da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .map(|c| (c.location(), c.location().haversine_km(&near)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(loc, _)| loc)
 }
 
 /// Carrier hub near a point, falling back to the AS anchor.
 fn hub_or_anchor(net: &Network, carrier: Asn, near: GeoPoint) -> (GeoPoint, Continent) {
-    if let Some((name, loc)) = hubs::nearest_hub(carrier, near) {
-        (loc, city_continent(name))
+    if let Some(hub) = hubs::nearest_hub(carrier, near) {
+        (hub.location(), hub.continent())
     } else {
         let info = net.graph.info(carrier).expect("carrier registered"); // audit:allow(expect)
         (info.location, info.continent)
